@@ -18,6 +18,7 @@ const LAYOUT_SEED: u64 = 0x06a7_f1c5;
 
 /// One simulated building: its labelled-few training corpus and its
 /// held-out scans with their true floors.
+#[derive(Clone)]
 pub struct Building {
     pub id: BuildingId,
     pub train: Dataset,
@@ -60,6 +61,20 @@ pub fn generate(models: &[BuildingModel], seed: u64) -> Vec<Building> {
             }
         })
         .collect()
+}
+
+/// The building with draw `draw` of its labelled few: draw 0 is the one
+/// [`generate`] made, later draws pick four other scans per floor from a
+/// stream of their own.
+pub fn redraw(building: Building, seed: u64, draw: usize) -> Building {
+    if draw == 0 {
+        return building;
+    }
+    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ (draw as u64).wrapping_mul(0x9e37_79b9));
+    Building {
+        train: building.train.with_label_budget(LABELS_PER_FLOOR, &mut rng),
+        ..building
+    }
 }
 
 /// Trains building `b` on its own seeded stream (serial training with a

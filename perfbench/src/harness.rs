@@ -4,11 +4,13 @@
 
 pub use crate::loadgen::Req;
 use crate::loadgen::{kept_schedule, open_loop, Phase, GEN_LATE_LIMIT_US};
-use crate::stats::percentile;
+use crate::stats::{micros, percentile, timed};
 use grafics_core::GraficsFleet;
 use grafics_serve::{FleetState, HttpServer, PredictionBody, RunningServer, ServeConfig};
-use std::path::PathBuf;
+use grafics_types::SignalRecord;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Sender threads and connections of the load generator: the box has two
 /// cores, and the server two workers.
@@ -133,6 +135,47 @@ impl Server {
     pub fn stop(self) {
         self.running.shutdown().expect("server drains cleanly");
     }
+}
+
+/// What a [`copy_probe`] measured.
+#[derive(Default)]
+pub struct CopyProbe {
+    /// `GraficsFleet::recover` wall times, in seconds.
+    pub recover_s: Vec<f64>,
+    /// `GraficsFleet::absorb_durable` wall times, in µs.
+    pub absorb_us: Vec<f64>,
+    pub accepted: u64,
+}
+
+impl CopyProbe {
+    pub fn extend(&mut self, other: CopyProbe) {
+        self.recover_s.extend(other.recover_s);
+        self.absorb_us.extend(other.absorb_us);
+        self.accepted += other.accepted;
+    }
+}
+
+/// The restart and absorb figures of a workload whose traffic has
+/// neither: every workload reports every end-to-end metric. Recovers the
+/// saved directory `restarts` times (the operator's restart, with no WAL
+/// to replay) and absorbs `records` into the last recovered copy, which
+/// is then dropped. The fleet that serves, and the directory, never
+/// change.
+pub fn copy_probe(dir: &Path, restarts: usize, records: &[SignalRecord], seed: u64) -> CopyProbe {
+    let mut probe = CopyProbe::default();
+    let mut copy = None;
+    for _ in 0..restarts.max(1) {
+        let ((fleet, _), secs) = timed(|| GraficsFleet::recover(dir).expect("recover the fleet"));
+        probe.recover_s.push(secs);
+        copy = Some(fleet);
+    }
+    let copy = copy.expect("at least one restart");
+    for (i, record) in records.iter().enumerate() {
+        let t = Instant::now();
+        probe.accepted += u64::from(copy.absorb_durable(record, seed, i as u64).is_ok());
+        probe.absorb_us.push(micros(t));
+    }
+    probe
 }
 
 /// Is `body` a well-formed answer for a request of `kind`?

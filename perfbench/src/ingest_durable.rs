@@ -160,7 +160,7 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> Outcome {
                 stream += PHASE_STREAMS;
                 infer_phase(name, &server, rate, n, &bodies, seed, stream, 0)
             };
-            let rung_secs = 0.05 * seconds;
+            let rung_secs = 0.025 * seconds;
             (max_rate, rungs) = ladder(
                 rung_of(MIX_QPS),
                 rung_secs,

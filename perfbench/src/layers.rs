@@ -325,17 +325,26 @@ pub fn online(
         let match_us = micros(t);
         out.match_us.push(match_us);
 
-        // The same call untraced, then traced: their difference is what
-        // the span bookkeeping costs.
-        let t = Instant::now();
-        let untraced = fleet.serve(record, &mut record_rng(seed, stream));
-        out.serve_untraced_us.push(micros(t));
-        std::hint::black_box(untraced.ok());
+        // The same call untraced and traced: their difference is what
+        // the span bookkeeping costs. Which goes first alternates per
+        // query, so neither always finds the other's warm caches.
+        let untraced = |out: &mut OnlineLayers| {
+            let t = Instant::now();
+            let answer = fleet.serve(record, &mut record_rng(seed, stream));
+            out.serve_untraced_us.push(micros(t));
+            std::hint::black_box(answer.ok());
+        };
+        if q % 2 == 0 {
+            untraced(&mut out);
+        }
         let t = Instant::now();
         let served = fleet.serve(record, &mut record_rng(seed, stream));
         spans.close("core.serve", t, Some(parent), request);
         let serve_us = micros(t);
         out.serve_us.push(serve_us);
+        if q % 2 == 1 {
+            untraced(&mut out);
+        }
         out.stage_sum_us.push(route_us + embed_us + match_us);
         let (Ok(served), Ok((pred, _))) = (served, matched) else {
             out.mismatches += 1;

@@ -4,7 +4,7 @@
 //!
 //! ```sh
 //! cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
-//!     --workload query-wide --seed 1 --seconds 20 --trace 0
+//!     --workload query-wide --seed 1 --seconds 15 --trace 0
 //! ```
 //!
 //! The last line of standard output is one JSON object:

@@ -1,16 +1,13 @@
-//! `query-wide`: open-loop `POST /v1/infer` against a 32-building fleet
-//! served under the recommended adaptive policy, with blocks of
-//! `POST /v1/absorb` between them that are never published, so every read
-//! sees the trained fleet.
+//! `query-wide`: read-only open-loop `POST /v1/infer` against a
+//! 32-building fleet served under the recommended adaptive policy.
 
 use crate::corpus::{self, record_json};
 use crate::harness::{
-    infer_phase, ladder, rung_of, well_formed, Outcome, Req, Server, WorkDir, ABSORB, CONNS, INFER,
-    KINDS,
+    copy_probe, infer_phase, ladder, rung_of, CopyProbe, Outcome, Server, WorkDir, INFER,
 };
 use crate::layers::{self, TraceInputs};
-use crate::loadgen::{open_loop, Phase};
-use crate::stats::{block_low_decile, low_decile, median, peak_rss_mb, secs, timed};
+use crate::loadgen::Phase;
+use crate::stats::{block_low_decile, low_decile, median, peak_rss_mb, secs};
 use grafics_core::{record_rng, GraficsConfig, GraficsFleet, OnlineBudget, ServingPolicy};
 use grafics_data::BuildingModel;
 use grafics_serve::PredictionBody;
@@ -25,11 +22,12 @@ const RECORDS_PER_FLOOR: usize = 40;
 const SETUPS: usize = 3;
 /// The nominal `/v1/infer` rate, well under the ladder's reading.
 const NOMINAL_QPS: f64 = 2_000.0;
-const ABSORB_QPS: f64 = 400.0;
-/// Measurement rounds per run; each sends a nominal block and an absorb
-/// block, each `BLOCK_SHARE` of `--seconds` long.
+/// Measurement rounds per run; each sends a nominal block
+/// `BLOCK_SHARE` of `--seconds` long.
 const ROUNDS: usize = 18;
-const BLOCK_SHARE: f64 = 0.025;
+const BLOCK_SHARE: f64 = 0.03;
+/// Held-out scans each round's copy probe absorbs.
+const PROBE_ABSORBS: usize = 50;
 /// The ladder's p99 limit: about fifty served queries back to back.
 const LADDER_P99_LIMIT_US: f64 = 5_000.0;
 /// Stream-index bases, so no two requests share an RNG stream.
@@ -98,12 +96,11 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> Outcome {
     );
 
     // Measurement in rounds, so every metric samples the whole run: a
-    // nominal `/v1/infer` block, a block of absorbs (they never publish,
-    // so every read still sees the trained fleet) and a restart from the
-    // saved directory. The rate ladder and the extra set-ups fall
-    // between rounds.
+    // nominal `/v1/infer` block, then the copy probe (a restart of the
+    // saved fleet and a block of absorbs into that copy, which is
+    // dropped: the served fleet and the HTTP traffic stay read-only).
+    // The rate ladder and the extra set-ups fall between rounds.
     let block_n = ((NOMINAL_QPS * seconds * BLOCK_SHARE) as usize).max(100);
-    let absorb_n = ((ABSORB_QPS * seconds * BLOCK_SHARE) as usize).max(50);
     let mut stream = PHASE_STREAMS;
     let mut next_base = || {
         stream += PHASE_STREAMS;
@@ -120,10 +117,9 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> Outcome {
         0,
     );
     let mut nominal: Vec<(Phase, u64)> = Vec::new();
-    let mut absorbs: Vec<Phase> = Vec::new();
+    let mut probe = CopyProbe::default();
     let mut rungs: Vec<Phase> = Vec::new();
     let mut max_rate = 0.0;
-    let mut recover_s = Vec::new();
     for round in 0..ROUNDS {
         let base = next_base();
         let name = format!("nominal {}", round + 1);
@@ -131,24 +127,11 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> Outcome {
             infer_phase(&name, &server, NOMINAL_QPS, block_n, &bodies, seed, base, 7),
             base,
         ));
-        let make = |i: usize| Req {
-            kind: ABSORB,
-            path: "/v1/absorb",
-            body: corpus::absorb_body(&bodies[(round * absorb_n + i) % bodies.len()]),
-        };
-        let name = format!("absorb {}", round + 1);
-        absorbs.push(open_loop(
-            &name,
-            server.running.addr(),
-            ABSORB_QPS,
-            absorb_n,
-            CONNS,
-            KINDS,
-            &make,
-            &well_formed,
-            &|_| false,
-        ));
-        recover_s.push(timed(|| GraficsFleet::recover(&saved).expect("recover the fleet")).1);
+        // Every `ROUNDS`-th held-out scan, so a probe spans the buildings.
+        let records: Vec<SignalRecord> = (0..PROBE_ABSORBS)
+            .map(|i| queries[(round + ROUNDS * i) % queries.len()].2.clone())
+            .collect();
+        probe.extend(copy_probe(&saved, 1, &records, seed));
         if round == ROUNDS / 2 - 1 {
             let mut run_rung = |name: &str, rate: f64, n: usize| {
                 infer_phase(name, &server, rate, n, &bodies, seed, next_base(), 0)
@@ -172,6 +155,11 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> Outcome {
         "setup trainings",
         train_s.len() as u64,
         train_s.len() as u64,
+    );
+    outcome.account_ops(
+        "copy probe absorbs",
+        probe.absorb_us.len() as u64,
+        probe.accepted,
     );
 
     // Bit-identity: sampled HTTP answers vs in-process serve on the same stream.
@@ -199,17 +187,15 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> Outcome {
 
     let phases: Vec<&Phase> = std::iter::once(&warm)
         .chain(nominal.iter().map(|(p, _)| p))
-        .chain(absorbs.iter())
         .chain(rungs.iter())
         .collect();
     for phase in &phases {
         outcome.account(phase);
     }
-    outcome.schedule(nominal.iter().map(|(p, _)| p).chain(absorbs.iter()));
+    outcome.schedule(nominal.iter().map(|(p, _)| p));
     let sent: u64 = phases.iter().map(|p| p.total_sent()).sum();
     let ok: u64 = phases.iter().map(|p| p.total_ok()).sum();
     let infer_blocks = || nominal.iter().map(|(p, _)| p.latency_us[INFER].as_slice());
-    let absorb_blocks = || absorbs.iter().map(|p| p.latency_us[ABSORB].as_slice());
     outcome.e2e = vec![
         ("setup_s", median(&setup_s), "s"),
         ("peak_rss_mb", peak_rss_mb(), "MB"),
@@ -220,16 +206,16 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> Outcome {
         ("infer_p50_us", block_low_decile(infer_blocks(), 0.5), "us"),
         (
             "absorb_p50_us",
-            block_low_decile(absorb_blocks(), 0.5),
+            block_low_decile(probe.absorb_us.chunks(PROBE_ABSORBS), 0.5),
             "us",
         ),
-        ("recover_s", low_decile(&recover_s), "s"),
+        ("recover_s", low_decile(&probe.recover_s), "s"),
     ];
     outcome.unsteady = vec![
         ("infer_p99_us", block_low_decile(infer_blocks(), 0.99), "us"),
         (
             "absorb_p99_us",
-            block_low_decile(absorb_blocks(), 0.99),
+            block_low_decile(probe.absorb_us.chunks(PROBE_ABSORBS), 0.99),
             "us",
         ),
         ("infer_max_rate_qps", max_rate, "qps"),
