@@ -1,9 +1,16 @@
-//! The constrained agglomerative engine.
+//! The constrained agglomerative engine: the condensed pairwise
+//! dissimilarity matrix of Eq. (11) and the merge loop over it.
+//!
+//! The merge loop is Müllner's nearest-neighbour-list "generic" algorithm
+//! (arXiv:1109.2378): every active cluster caches its nearest *eligible*
+//! partner — one the one-label-per-cluster constraint lets it merge with —
+//! and only caches a merge invalidates are rescanned. Memory is the
+//! O(n²/2) `f64` matrix plus O(n) state; the order of merges, exact
+//! ties included, is that of a min-heap over `(distance, a, b)`, so the
+//! fitted model does not depend on how the minimum is found.
 
 use grafics_types::RowMatrix;
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::fmt;
 
 /// Linkage criterion used for the cluster-to-cluster distance.
@@ -120,48 +127,6 @@ impl fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
-/// Heap entry: candidate merge of clusters rooted at `a` and `b`.
-/// Ordered so the *smallest* distance pops first; exact distance ties
-/// break by `(a, b)` so the merge order is a deterministic function of
-/// the distance matrix, independent of how the heap was built
-/// (historically, tied pops followed the accidental heap layout).
-/// Indices and stamps are `u32` so the entry packs into 24 bytes — the
-/// heap holds O(n²) of these, and sift traffic is the agglomeration's
-/// main cost.
-struct Candidate {
-    dist: f64,
-    a: u32,
-    b: u32,
-    /// Merge-epoch stamps; a candidate is stale if either root has since
-    /// participated in a merge.
-    stamp_a: u32,
-    stamp_b: u32,
-}
-
-impl PartialEq for Candidate {
-    fn eq(&self, other: &Self) -> bool {
-        (self.dist, self.a, self.b) == (other.dist, other.a, other.b)
-    }
-}
-impl Eq for Candidate {}
-impl PartialOrd for Candidate {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Candidate {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse: min-heap on distance, lowest (a, b) first among exact
-        // ties. Distances are finite by input validation, so the order
-        // is total.
-        other
-            .dist
-            .partial_cmp(&self.dist)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| (other.a, other.b).cmp(&(self.a, self.b)))
-    }
-}
-
 /// Result of the raw agglomeration: for each input point, the root index of
 /// the cluster it ended in, plus the merge history.
 pub(crate) struct Agglomeration {
@@ -169,11 +134,24 @@ pub(crate) struct Agglomeration {
     pub history: Vec<MergeStep>,
 }
 
-/// Runs constrained agglomerative clustering over a dense distance matrix.
+/// "No eligible partner" in the nearest-neighbour cache.
+const NONE: usize = usize::MAX;
+
+/// Runs constrained agglomerative clustering over the condensed distance
+/// matrix.
 ///
-/// `labeled[i]` marks points that carry a floor label. Returns the root
-/// assignment once no further merge is allowed (constrained mode) or the
-/// cluster count reaches `stop_at` (unconstrained mode).
+/// `labeled[i]` marks points that carry a floor label. A pair is
+/// *eligible* while both roots are active and — in constrained mode — not
+/// both labelled. Row `i` caches its nearest eligible partner `j < i`
+/// (the matrix's contiguous direction; smallest `j` among exact ties).
+/// Each merge takes the global minimum of `(distance, a, b)` over the
+/// cache, keeps the lower index `a`, absorbs `b`, applies the
+/// Lance–Williams update to `a`'s distances, and rescans row `a` plus the
+/// rows whose cached partner was absorbed, moved away or became
+/// ineligible. That is the pop order of the historical stamped candidate
+/// heap, tie-break included, so roots and history are bit-identical to
+/// it. Returns once no eligible pair is left (constrained mode) or the
+/// cluster count reaches `stop_at`.
 pub(crate) fn agglomerate(
     dist: &mut DistanceMatrix,
     labeled: &[bool],
@@ -185,57 +163,62 @@ pub(crate) fn agglomerate(
     let mut size: Vec<f64> = vec![1.0; n];
     let mut has_label: Vec<bool> = labeled.to_vec();
     let mut active: Vec<bool> = vec![true; n];
-    let mut stamp: Vec<u32> = vec![0; n];
+    // Row i's nearest eligible partner j < i and its distance.
+    let mut nn: Vec<usize> = vec![NONE; n];
+    let mut nn_dist: Vec<f64> = vec![f64::INFINITY; n];
     let mut n_active = n;
     let mut history = Vec::new();
 
-    // Seed every pair, then heapify in one O(n²) pass instead of n²/2
-    // sifting pushes — the initial build is a large share of the
-    // agglomeration's heap traffic.
-    let mut seed = Vec::with_capacity(n * (n - 1) / 2);
-    for a in 0..n {
-        for b in (a + 1)..n {
-            seed.push(Candidate {
-                dist: dist.get(a, b),
-                a: a as u32,
-                b: b as u32,
-                stamp_a: 0,
-                stamp_b: 0,
-            });
+    let scan = |dist: &DistanceMatrix, active: &[bool], has_label: &[bool], i: usize| {
+        let blocked_row = config.constrained && has_label[i];
+        let (mut best, mut best_d) = (NONE, f64::INFINITY);
+        // Descending with `<=`: the smallest j wins exact ties.
+        for (j, &d) in dist.row(i).iter().enumerate().rev() {
+            if d <= best_d && active[j] && !(blocked_row && has_label[j]) {
+                (best, best_d) = (j, d);
+            }
         }
+        (best, best_d)
+    };
+    for i in 1..n {
+        (nn[i], nn_dist[i]) = scan(dist, &active, &has_label, i);
     }
-    let mut heap = BinaryHeap::from(seed);
 
     while n_active > stop_at {
-        let Some(c) = heap.pop() else { break };
-        let (a, b) = (c.a as usize, c.b as usize);
-        if !active[a] || !active[b] || stamp[a] != c.stamp_a || stamp[b] != c.stamp_b {
-            continue; // stale
+        // Global minimum of (distance, a, b) with a = nn[b] < b.
+        let mut b = NONE;
+        for i in 1..n {
+            if nn[i] != NONE
+                && (b == NONE
+                    || nn_dist[i] < nn_dist[b]
+                    || (nn_dist[i] == nn_dist[b] && nn[i] < nn[b]))
+            {
+                b = i;
+            }
         }
-        if config.constrained && has_label[a] && has_label[b] {
-            // Blocked pair: both sides already own a labelled sample. The
-            // candidate is simply discarded; since stamps still match, it
-            // would be re-pushed identical, so dropping it is permanent
-            // until one side merges with something else.
-            continue;
+        if b == NONE {
+            break; // every remaining pair is blocked
         }
+        let a = nn[b];
         // Merge b into a.
         active[b] = false;
+        nn[b] = NONE;
         parent[b] = a;
         has_label[a] = has_label[a] || has_label[b];
-        stamp[a] += 1;
         n_active -= 1;
         if config.record_history {
             history.push(MergeStep {
                 kept: a,
                 absorbed: b,
-                distance: c.dist,
+                distance: nn_dist[b],
             });
         }
 
-        // Lance–Williams update of row a against every other active root.
+        // Lance–Williams update of a's distances to every other active
+        // root; rows above a hold their entry for a, so their caches are
+        // refreshed here, row a's own once its prefix is updated.
         for k in 0..n {
-            if k == a || k == b || !active[k] {
+            if k == a || !active[k] {
                 continue;
             }
             let dka = dist.get(k, a);
@@ -246,32 +229,27 @@ pub(crate) fn agglomerate(
                 Linkage::Complete => dka.max(dkb),
             };
             dist.set(k, a, new);
-            heap.push(Candidate {
-                dist: new,
-                a: a.min(k) as u32,
-                b: a.max(k) as u32,
-                stamp_a: stamp[a.min(k)],
-                stamp_b: stamp[a.max(k)],
-            });
+            if k < a {
+                continue;
+            }
+            let eligible = !(config.constrained && has_label[k] && has_label[a]);
+            if nn[k] == b || (nn[k] == a && !(eligible && new <= nn_dist[k])) {
+                (nn[k], nn_dist[k]) = scan(dist, &active, &has_label, k);
+            } else if eligible
+                && (nn[k] == a || new < nn_dist[k] || (new == nn_dist[k] && a < nn[k]))
+            {
+                (nn[k], nn_dist[k]) = (a, new);
+            }
         }
         size[a] += size[b];
+        (nn[a], nn_dist[a]) = scan(dist, &active, &has_label, a);
     }
 
-    // Path-compress roots.
-    let mut roots = vec![0usize; n];
-    for (i, root) in roots.iter_mut().enumerate() {
-        let mut r = i;
-        while parent[r] != r {
-            r = parent[r];
-        }
-        // compress
-        let mut cur = i;
-        while parent[cur] != r {
-            let next = parent[cur];
-            parent[cur] = r;
-            cur = next;
-        }
-        *root = r;
+    // Merges keep the lower index, so parent[i] <= i and one ascending
+    // pass resolves every root.
+    let mut roots = parent;
+    for i in 0..n {
+        roots[i] = roots[roots[i]];
     }
     Agglomeration { roots, history }
 }
@@ -426,6 +404,13 @@ impl DistanceMatrix {
     pub(crate) fn set(&mut self, a: usize, b: usize, v: f64) {
         let o = self.offset(a, b);
         self.data[o] = v;
+    }
+
+    /// Row `a`'s entries against every `b < a`, contiguous (empty for 0).
+    #[inline]
+    fn row(&self, a: usize) -> &[f64] {
+        let start = a * a.saturating_sub(1) / 2;
+        &self.data[start..start + a]
     }
 }
 

@@ -8,7 +8,8 @@
 //! every cluster contains exactly one labelled sample; the cluster inherits
 //! that sample's floor. Distance between clusters is the average pairwise
 //! ℓ2 distance (Eq. (11)), maintained incrementally via the Lance–Williams
-//! recurrence, giving O(n² log n) total time.
+//! recurrence; a per-cluster nearest-partner cache finds each merge, so
+//! memory stays at the condensed O(n²/2) distance matrix.
 //!
 //! The O(n²·d) *initial* dissimilarity matrix — the dominant cost at the
 //! embedding dimensions the paper uses — runs over the workspace's flat

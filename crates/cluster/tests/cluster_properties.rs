@@ -1,11 +1,14 @@
 //! Property-based tests of the clustering invariants the paper's
 //! algorithm guarantees (§IV-C), plus parity proofs that the flat-matrix
 //! math backbone reproduces the historical nested-`Vec` / per-candidate
-//! `sqrt` paths bit for bit.
+//! `sqrt` paths bit for bit, and that the nearest-neighbour-cache
+//! agglomeration reproduces the historical candidate-heap one.
 
-use grafics_cluster::{dissimilarity_matrix, ClusterModel, ClusteringConfig};
+use grafics_cluster::{dissimilarity_matrix, ClusterModel, ClusteringConfig, Linkage, MergeStep};
 use grafics_types::{FloorId, RowMatrix};
 use proptest::prelude::*;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// Points in 3-D with a handful of labels sprinkled in.
 fn arb_problem() -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<Option<FloorId>>)> {
@@ -20,6 +23,156 @@ fn arb_problem() -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<Option<FloorId>>)>
                 labels[0] = Some(FloorId(0));
             }
             (points, labels)
+        })
+    })
+}
+
+/// Heap entry of the oracle: candidate merge of roots `a < b`, smallest
+/// distance first, exact ties broken by `(a, b)`; stale once either
+/// root's merge stamp moved on.
+struct Candidate {
+    dist: f64,
+    a: usize,
+    b: usize,
+    stamp_a: u32,
+    stamp_b: u32,
+}
+
+impl PartialEq for Candidate {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl Eq for Candidate {}
+impl PartialOrd for Candidate {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Candidate {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .dist
+            .partial_cmp(&self.dist)
+            .unwrap_or(Ordering::Equal)
+            .then_with(|| (other.a, other.b).cmp(&(self.a, self.b)))
+    }
+}
+
+/// The historical stamped-candidate-heap agglomeration, kept as the
+/// oracle for the library's heap-free one: returns each point's root and
+/// the full merge history.
+fn heap_agglomerate(
+    points: &RowMatrix<f64>,
+    labeled: &[bool],
+    config: &ClusteringConfig,
+    stop_at: usize,
+) -> (Vec<usize>, Vec<MergeStep>) {
+    let n = labeled.len();
+    let mut dist = dissimilarity_matrix(points, 1);
+    let at = |a: usize, b: usize| {
+        let (hi, lo) = if a > b { (a, b) } else { (b, a) };
+        hi * (hi - 1) / 2 + lo
+    };
+    let mut parent: Vec<usize> = (0..n).collect();
+    let mut size = vec![1.0f64; n];
+    let mut has_label = labeled.to_vec();
+    let mut active = vec![true; n];
+    let mut stamp = vec![0u32; n];
+    let mut n_active = n;
+    let mut history = Vec::new();
+    let mut heap = BinaryHeap::new();
+    for a in 0..n {
+        for b in (a + 1)..n {
+            heap.push(Candidate {
+                dist: dist[at(a, b)],
+                a,
+                b,
+                stamp_a: 0,
+                stamp_b: 0,
+            });
+        }
+    }
+    while n_active > stop_at {
+        let Some(c) = heap.pop() else { break };
+        let (a, b) = (c.a, c.b);
+        if !active[a] || !active[b] || stamp[a] != c.stamp_a || stamp[b] != c.stamp_b {
+            continue;
+        }
+        if config.constrained && has_label[a] && has_label[b] {
+            continue;
+        }
+        active[b] = false;
+        parent[b] = a;
+        has_label[a] = has_label[a] || has_label[b];
+        stamp[a] += 1;
+        n_active -= 1;
+        history.push(MergeStep {
+            kept: a,
+            absorbed: b,
+            distance: c.dist,
+        });
+        for k in 0..n {
+            if k == a || k == b || !active[k] {
+                continue;
+            }
+            let (dka, dkb) = (dist[at(k, a)], dist[at(k, b)]);
+            let new = match config.linkage {
+                Linkage::Average => (size[a] * dka + size[b] * dkb) / (size[a] + size[b]),
+                Linkage::Single => dka.min(dkb),
+                Linkage::Complete => dka.max(dkb),
+                _ => unreachable!("oracle covers the three linkages"),
+            };
+            dist[at(k, a)] = new;
+            heap.push(Candidate {
+                dist: new,
+                a: a.min(k),
+                b: a.max(k),
+                stamp_a: stamp[a.min(k)],
+                stamp_b: stamp[a.max(k)],
+            });
+        }
+        size[a] += size[b];
+    }
+    let roots = (0..n)
+        .map(|mut r| {
+            while parent[r] != r {
+                r = parent[r];
+            }
+            r
+        })
+        .collect();
+    (roots, history)
+}
+
+/// Agglomeration inputs: continuous points, or points on a tiny integer
+/// grid so that duplicates and exactly equal distances are common;
+/// labelled fractions from sparse up to all-labelled (the 1-NN regime).
+#[allow(clippy::type_complexity)]
+fn arb_agglomeration() -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<bool>, ClusteringConfig)> {
+    (2usize..60, 1usize..4, any::<bool>(), 0usize..4).prop_flat_map(|(n, dim, grid, density)| {
+        let coord = (-200i32..200).prop_map(move |c| {
+            if grid {
+                f64::from(c.rem_euclid(5) - 2)
+            } else {
+                f64::from(c) * 0.503
+            }
+        });
+        let points = prop::collection::vec(prop::collection::vec(coord, dim..=dim), n..=n);
+        let p_label = [0.05, 0.2, 0.5, 1.0][density];
+        let labeled = prop::collection::vec(prop::option::weighted(p_label, Just(())), n..=n);
+        let config = (0usize..3, any::<bool>(), any::<bool>()).prop_map(
+            |(linkage, constrained, record_history)| ClusteringConfig {
+                linkage: [Linkage::Average, Linkage::Single, Linkage::Complete][linkage],
+                constrained,
+                record_history,
+                threads: 1,
+            },
+        );
+        (points, labeled, config).prop_map(|(points, labeled, config)| {
+            let mut labeled: Vec<bool> = labeled.iter().map(Option::is_some).collect();
+            labeled[0] = labeled[0] || labeled.iter().all(|&l| !l);
+            (points, labeled, config)
         })
     })
 }
@@ -184,5 +337,46 @@ proptest! {
         let (mpred, margin) = model.predict_with_margin(&query).unwrap();
         prop_assert_eq!(mpred, pred);
         prop_assert_eq!(margin.to_bits(), (rival - pred.distance).to_bits());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The heap-free agglomeration is bit-identical to the historical
+    /// stamped candidate heap: same final roots and — when recorded — the
+    /// same merge history, distances compared bit for bit, across every
+    /// linkage, constrained and unconstrained, with exact-distance ties
+    /// from duplicate and grid points hitting the `(a, b)` tie-break.
+    #[test]
+    fn agglomeration_matches_candidate_heap_oracle(
+        (points, labeled, config) in arb_agglomeration(),
+    ) {
+        let matrix = RowMatrix::from_rows(&points);
+        let labels: Vec<Option<FloorId>> =
+            labeled.iter().map(|&l| l.then_some(FloorId(0))).collect();
+        let n_labeled = labeled.iter().filter(|&&l| l).count();
+        let model = ClusterModel::fit(&matrix, &labels, &config).unwrap();
+        let (want_roots, want_history) = heap_agglomerate(&matrix, &labeled, &config, n_labeled);
+
+        // Roots are the lowest member of each cluster (merges keep the
+        // lower index).
+        let mut roots = vec![usize::MAX; points.len()];
+        for c in model.clusters() {
+            let root = *c.members.iter().min().unwrap();
+            for &m in &c.members {
+                roots[m] = root;
+            }
+        }
+        prop_assert_eq!(roots, want_roots);
+        if config.record_history {
+            prop_assert_eq!(model.history().len(), want_history.len());
+            for (got, want) in model.history().iter().zip(&want_history) {
+                prop_assert_eq!((got.kept, got.absorbed), (want.kept, want.absorbed));
+                prop_assert_eq!(got.distance.to_bits(), want.distance.to_bits());
+            }
+        } else {
+            prop_assert!(model.history().is_empty());
+        }
     }
 }

@@ -191,6 +191,37 @@ impl EmbeddingModel {
         }
     }
 
+    /// Row of a compile-time width `D` (which must equal the model's
+    /// dimension) — the monomorphised serial SGD step's view.
+    #[inline(always)]
+    pub(crate) fn row_fixed<const D: usize>(&self, space: Space, node: NodeIdx) -> &[f32; D] {
+        let i = node.index() * D;
+        let rows = match space {
+            Space::Ego => &self.ego,
+            Space::Context => &self.context,
+        };
+        rows[i..i + D]
+            .try_into()
+            .expect("row width is the model dimension")
+    }
+
+    /// Mutable [`EmbeddingModel::row_fixed`].
+    #[inline(always)]
+    pub(crate) fn row_fixed_mut<const D: usize>(
+        &mut self,
+        space: Space,
+        node: NodeIdx,
+    ) -> &mut [f32; D] {
+        let i = node.index() * D;
+        let rows = match space {
+            Space::Ego => &mut self.ego,
+            Space::Context => &mut self.context,
+        };
+        (&mut rows[i..i + D])
+            .try_into()
+            .expect("row width is the model dimension")
+    }
+
     /// Both full matrices, mutably — the Hogwild trainer's entry point for
     /// building its shared atomic view over the storage.
     pub(crate) fn matrices_mut(&mut self) -> (&mut [f32], &mut [f32]) {

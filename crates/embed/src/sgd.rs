@@ -110,6 +110,12 @@ impl Sgd {
     /// written — online inference freezes everything except the new node
     /// (§V-A). `dropout` zeroes each *source-gradient* coordinate with the
     /// given probability (the paper trains E-LINE with dropout 0.1).
+    ///
+    /// Dimensions 4, 8 and 16 run a body monomorphised over `[f32; D]`
+    /// rows (no bounds checks, fully unrolled loops); every other
+    /// dimension runs the slice body. Both do the same sequential
+    /// ascending-order arithmetic, exact [`sigmoid`] and dropout draws, so
+    /// the model they leave is bit-identical.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn step<R: Rng + ?Sized>(
         &mut self,
@@ -125,6 +131,24 @@ impl Sgd {
         rng: &mut R,
     ) {
         debug_assert_eq!(model.dim(), self.dim);
+        let args = (src, tgt, neg_space, negatives, lr);
+        let flags = (update_source, update_targets, dropout);
+        match self.dim {
+            4 => step_fixed::<4, R>(model, args, flags, rng),
+            8 => step_fixed::<8, R>(model, args, flags, rng),
+            16 => step_fixed::<16, R>(model, args, flags, rng),
+            _ => self.step_slice(model, args, flags, rng),
+        }
+    }
+
+    /// The slice body of [`Sgd::step`], for any dimension.
+    fn step_slice<R: Rng + ?Sized>(
+        &mut self,
+        model: &mut EmbeddingModel,
+        (src, tgt, neg_space, negatives, lr): StepArgs<'_>,
+        (update_source, update_targets, dropout): StepFlags,
+        rng: &mut R,
+    ) {
         self.src_copy.copy_from_slice(model.row(src.0, src.1));
         self.src_grad.fill(0.0);
 
@@ -134,18 +158,7 @@ impl Sgd {
         }
 
         if update_source {
-            let srow = model.row_mut(src.0, src.1);
-            if dropout > 0.0 {
-                for (slot, &g) in srow.iter_mut().zip(&self.src_grad) {
-                    if rng.gen::<f32>() >= dropout {
-                        *slot += g;
-                    }
-                }
-            } else {
-                for (slot, &g) in srow.iter_mut().zip(&self.src_grad) {
-                    *slot += g;
-                }
-            }
+            apply_source_grad(model.row_mut(src.0, src.1), &self.src_grad, dropout, rng);
         }
     }
 
@@ -166,6 +179,60 @@ impl Sgd {
         axpy(&mut self.src_grad, g, trow);
         if update_target {
             axpy(trow, g, &self.src_copy);
+        }
+    }
+}
+
+/// Rows, negatives and learning rate of one [`Sgd::step`].
+type StepArgs<'a> = (RowSel, RowSel, Space, &'a [NodeIdx], f32);
+/// `(update_source, update_targets, dropout)` of one [`Sgd::step`].
+type StepFlags = (bool, bool, f32);
+
+/// [`Sgd::step`] over `[f32; D]` rows: the slice body's arithmetic, with
+/// the row width known at compile time.
+#[inline(always)]
+fn step_fixed<const D: usize, R: Rng + ?Sized>(
+    model: &mut EmbeddingModel,
+    (src, tgt, neg_space, negatives, lr): StepArgs<'_>,
+    (update_source, update_targets, dropout): StepFlags,
+    rng: &mut R,
+) {
+    let src_copy: [f32; D] = *model.row_fixed::<D>(src.0, src.1);
+    let mut src_grad = [0.0f32; D];
+    let mut one_target = |trow: &mut [f32; D], label: f32| {
+        let g = lr * (label - sigmoid(dot(&src_copy, trow)));
+        axpy(&mut src_grad, g, trow);
+        if update_targets {
+            axpy(trow, g, &src_copy);
+        }
+    };
+    one_target(model.row_fixed_mut::<D>(tgt.0, tgt.1), 1.0);
+    for &z in negatives {
+        one_target(model.row_fixed_mut::<D>(neg_space, z), 0.0);
+    }
+    if update_source {
+        apply_source_grad(
+            model.row_fixed_mut::<D>(src.0, src.1),
+            &src_grad,
+            dropout,
+            rng,
+        );
+    }
+}
+
+/// Adds the source gradient to its row, dropping each coordinate with
+/// probability `dropout` (one draw per coordinate, ascending).
+#[inline(always)]
+fn apply_source_grad<R: Rng + ?Sized>(srow: &mut [f32], grad: &[f32], dropout: f32, rng: &mut R) {
+    if dropout > 0.0 {
+        for (slot, &g) in srow.iter_mut().zip(grad) {
+            if rng.gen::<f32>() >= dropout {
+                *slot += g;
+            }
+        }
+    } else {
+        for (slot, &g) in srow.iter_mut().zip(grad) {
+            *slot += g;
         }
     }
 }
@@ -331,6 +398,66 @@ mod tests {
             &mut rng,
         );
         assert_eq!(model.ego(NodeIdx(0)), before.as_slice());
+    }
+
+    /// The `[f32; D]` bodies for D = 4/8/16 leave a model bit-identical to
+    /// the slice body's after hundreds of steps — dropout on, negatives
+    /// repeated and aliasing the source row — and consume the RNG alike.
+    #[test]
+    fn fixed_dim_step_matches_slice_step_bitwise() {
+        use rand::RngCore;
+        for dim in [4usize, 8, 16] {
+            let rows = 7;
+            let init = EmbeddingModel::init(rows, dim, &mut ChaCha8Rng::seed_from_u64(dim as u64));
+            let (mut fixed, mut slice) = (init.clone(), init);
+            let (mut rng_fixed, mut rng_slice) =
+                (ChaCha8Rng::seed_from_u64(9), ChaCha8Rng::seed_from_u64(9));
+            let mut plan = ChaCha8Rng::seed_from_u64(dim as u64 + 100);
+            let mut sgd = Sgd::new(dim);
+            for t in 0..400 {
+                let node = |plan: &mut ChaCha8Rng| NodeIdx(plan.gen_range(0..rows as u32));
+                let space = |plan: &mut ChaCha8Rng| {
+                    if plan.gen::<bool>() {
+                        Space::Ego
+                    } else {
+                        Space::Context
+                    }
+                };
+                let src = (space(&mut plan), node(&mut plan));
+                let tgt = (space(&mut plan), node(&mut plan));
+                let neg_space = space(&mut plan);
+                // Repeats are likely over 7 rows; force one every step.
+                let mut negatives: Vec<NodeIdx> = (0..4).map(|_| node(&mut plan)).collect();
+                negatives.push(negatives[0]);
+                let lr = 0.025 * (1.0 - t as f32 / 400.0);
+                let (update_source, update_targets) = (t % 5 != 0, t % 7 != 0);
+                let dropout = if t % 3 == 0 { 0.0 } else { 0.1 };
+                sgd.step(
+                    &mut fixed,
+                    src,
+                    tgt,
+                    neg_space,
+                    &negatives,
+                    lr,
+                    update_source,
+                    update_targets,
+                    dropout,
+                    &mut rng_fixed,
+                );
+                sgd.step_slice(
+                    &mut slice,
+                    (src, tgt, neg_space, &negatives, lr),
+                    (update_source, update_targets, dropout),
+                    &mut rng_slice,
+                );
+            }
+            let (fe, fc) = fixed.matrices();
+            let (se, sc) = slice.matrices();
+            let bits = |m: &[f32]| m.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(fe), bits(se), "dim {dim}: ego diverged");
+            assert_eq!(bits(fc), bits(sc), "dim {dim}: context diverged");
+            assert_eq!(rng_fixed.next_u64(), rng_slice.next_u64(), "dim {dim}");
+        }
     }
 
     #[test]

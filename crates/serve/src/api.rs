@@ -218,7 +218,17 @@ fn fill((status, body): ApiResult, out: &mut String) -> u16 {
 pub(crate) fn parse_json<T: serde::Deserialize>(body: &[u8]) -> Result<T, ApiResult> {
     let text =
         std::str::from_utf8(body).map_err(|_| error_body(400, "request body is not UTF-8"))?;
-    serde_json::from_str(text).map_err(|e| error_body(400, &format!("invalid JSON: {e}")))
+    serde_json::from_str(text).map_err(|e| match e.classify() {
+        // Bounded before it can exhaust the handler thread's stack.
+        serde_json::Category::RecursionLimit => error_body(
+            400,
+            &format!(
+                "JSON nested deeper than {} levels",
+                serde_json::RECURSION_LIMIT
+            ),
+        ),
+        _ => error_body(400, &format!("invalid JSON: {e}")),
+    })
 }
 
 /// Re-validates a record that arrived over the wire (derived `serde`

@@ -1359,7 +1359,8 @@ impl RouterServer {
     ///
     /// # Errors
     ///
-    /// Fatal listener errors (per-connection errors are contained).
+    /// None today: accept errors are transient and per-connection errors
+    /// are contained (the signature allows start-up checks to grow).
     pub fn run(self) -> std::io::Result<RouterReport> {
         let state = self.state;
         let prober_state = Arc::clone(&state);
@@ -1383,10 +1384,11 @@ impl RouterServer {
                     std::thread::sleep(Duration::from_millis(2));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    state.shutdown.store(true, Ordering::SeqCst);
-                    let _ = prober.join();
-                    return Err(e);
+                Err(_) => {
+                    // ECONNABORTED, EMFILE under fd pressure and the like
+                    // pass once connections close; ending the loop here
+                    // would take the whole router tier down for them.
+                    std::thread::sleep(Duration::from_millis(10));
                 }
             }
         }

@@ -235,6 +235,24 @@ fn rejects_bad_requests_with_the_right_statuses() {
     server.shutdown().unwrap();
 }
 
+/// A body of 200 000 `[` bytes — 5% of the default body limit — gets a
+/// 400 from the JSON nesting limit instead of overflowing the handler's
+/// stack and aborting the process; the server keeps answering.
+#[test]
+fn deeply_nested_body_is_rejected_and_server_survives() {
+    let server = spawn(build_fleet(), ServeConfig::default());
+    let mut client = HttpClient::connect(server.addr()).unwrap();
+    for endpoint in ["/v1/infer", "/v1/infer_batch", "/v1/absorb"] {
+        let (status, body) = client.post(endpoint, &"[".repeat(200_000)).unwrap();
+        assert_eq!(status, 400, "{endpoint}: {body}");
+        assert!(body.contains("nested deeper than"), "{endpoint}: {body}");
+    }
+    let mut fresh = HttpClient::connect(server.addr()).unwrap();
+    let (status, body) = fresh.get("/healthz").unwrap();
+    assert_eq!(status, 200, "{body}");
+    server.shutdown().unwrap();
+}
+
 /// Absorb routes into the write side (readers unaffected), manual
 /// publish exposes it, and `/v1/stat` reports the shared `FleetStats`.
 #[test]

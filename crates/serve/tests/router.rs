@@ -854,6 +854,34 @@ fn write_endpoints_require_bearer_token_end_to_end() {
     backend_b.shutdown().unwrap();
 }
 
+/// The router parses `/v1/infer` bodies itself: a 200 000-deep `[`
+/// body gets a 400 from the JSON nesting limit on the router (nothing is
+/// forwarded), and the router and its backends stay healthy.
+#[test]
+fn deeply_nested_body_is_rejected_and_router_survives() {
+    let backend_a = spawn_backend(shard_fleet(0), ServeConfig::default());
+    let backend_b = spawn_backend(shard_fleet(1), ServeConfig::default());
+    let router = router_over(&[backend_a.addr(), backend_b.addr()], |_| {});
+    assert!(router.wait_for_buildings(2, Duration::from_secs(10)));
+
+    let mut client = HttpClient::connect(router.addr()).unwrap();
+    for endpoint in ["/v1/infer", "/v1/infer_batch", "/v1/absorb"] {
+        let (status, body) = client.post(endpoint, &"[".repeat(200_000)).unwrap();
+        assert_eq!(status, 400, "{endpoint}: {body}");
+        assert!(body.contains("nested deeper than"), "{endpoint}: {body}");
+    }
+    let (status, body) = raw_request(router.addr(), "GET", "/healthz", "");
+    assert_eq!(status, 200, "{body}");
+    for backend in [&backend_a, &backend_b] {
+        let (status, body) = raw_request(backend.addr(), "GET", "/healthz", "");
+        assert_eq!(status, 200, "{body}");
+    }
+
+    router.shutdown().unwrap();
+    backend_a.shutdown().unwrap();
+    backend_b.shutdown().unwrap();
+}
+
 /// The per-client token bucket throttles `/v1/*` with 429 +
 /// `Retry-After`, counts it on `/metrics`, leaves `/healthz` and
 /// `/metrics` unthrottled, and refills over time.
